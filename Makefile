@@ -85,9 +85,12 @@ chaos-cluster:
 
 # Tier-1 verification gate: everything must build, vet clean, and pass,
 # including the race pass over the service layer and the chaos suite. The
+# durable-job tests run ten times under the race detector: they catch a job
+# whose terminal state is visible before its journal record is written. The
 # bench gate is a soft warning (leading '-'): it only compares snapshots
 # already committed, so it never blocks when fewer than two exist.
 verify: build vet test test-service test-store test-cluster test-dse test-fabric test-workload chaos-short
+	go test -race -count=10 -run 'TestDurable' ./internal/service/
 	CHAOS_CLUSTER_ITERS=1 go test -count=1 -run='TestChaosClusterSIGKILL' ./cmd/enaserve/
 	-@$(MAKE) --no-print-directory bench-compare
 

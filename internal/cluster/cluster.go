@@ -1,13 +1,17 @@
-// Package cluster shards sweep-shaped service jobs across enaserve worker
-// processes. A coordinator deterministically partitions a job's index space
-// — design points for /v1/explore, node counts for /v1/scale — into
-// contiguous shards, fans them out to worker peers over HTTP, streams
-// per-item results back as they complete, retries failed shards on the
-// surviving workers (falling back to local evaluation when none survive),
-// and merges to the bit-identical single-process answer.
+// Package cluster runs sweep-shaped service jobs — grid and point-list
+// design-space sweeps for /v1/explore, node-count sweeps for /v1/scale —
+// through one mechanism, the generic sweep function. It splits a job's
+// index space into contiguous shards, fans them out to enaserve worker
+// peers over HTTP, streams per-item results back as they complete, retries
+// failed shards on the surviving workers, evaluates locally whatever no
+// peer ran (every shard, when there are no peers), checkpoints completed
+// shards when given a store, and merges to the bit-identical
+// single-process answer. A sweep kind (sweepKind) supplies only its shard
+// request, its per-item evaluation, the stream-line field carrying its
+// item, and its checkpoint chunk size.
 //
 // Bit-identity holds by construction: every item is a pure function of the
-// request (dse.EvaluatePointContext for explore points, EvalScale for scale
+// request (dse.EvaluatePointContext for design points, EvalScale for scale
 // sizes), shards cover the index space exactly once, results are merged
 // positionally, and the sequential scoring/selection tail (dse.Finalize)
 // runs on the merged slice exactly as a local sweep would have run it.
@@ -16,13 +20,15 @@
 // request; the response is an NDJSON stream of one line per completed item
 // (carrying its index, so completion order is free to vary) terminated by a
 // "done" line with the item count. A stream that ends without "done" is a
-// failed shard.
+// failed shard. Checkpoints live under ck:<kind>:<protoVersion>:<job
+// key>:<start>-<end>. Both formats are pinned by format_test.go.
 package cluster
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ena/internal/dse"
@@ -158,15 +164,51 @@ func chunked(n, chunk int) []shard {
 	return out
 }
 
-// parseMode resolves a wire scaling mode.
-func parseMode(s string) (fabric.Mode, error) {
+// ParseMode resolves a scaling mode name ("" is weak) — the one spelling
+// rule for /v1/scale requests and scale shards alike.
+func ParseMode(s string) (fabric.Mode, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "weak":
 		return fabric.Weak, nil
 	case "strong":
 		return fabric.Strong, nil
 	}
-	return 0, fmt.Errorf("cluster: unknown mode %q (want strong or weak)", s)
+	return 0, fmt.Errorf("unknown mode %q (want strong or weak)", s)
+}
+
+// The scale envelope, enforced alike by POST /v1/scale and by the worker's
+// scale shard route: at most ScaleMaxSizes node counts per job, each at
+// most ScaleMaxNodes (the §V-F machine is 100k nodes), and at most
+// ScaleMaxDegradedNodes when a fault mask forces degraded routing — its
+// per-pair BFS around the victims is priced for rack scale, not the full
+// machine.
+const (
+	ScaleMaxSizes         = 16
+	ScaleMaxNodes         = 1 << 20
+	ScaleMaxDegradedNodes = 4096
+)
+
+// CheckScaleEnvelope rejects a scale job outside the envelope: an unknown
+// topology kind, or node counts past the limits above (masked selects the
+// degraded-routing cap).
+func CheckScaleEnvelope(kind string, sizes []int, masked bool) error {
+	if !slices.Contains(fabric.Kinds(), kind) {
+		return fmt.Errorf("unknown topology %q (want %s)", kind, strings.Join(fabric.Kinds(), ", "))
+	}
+	if len(sizes) > ScaleMaxSizes {
+		return fmt.Errorf("%d node counts exceed the per-request limit of %d", len(sizes), ScaleMaxSizes)
+	}
+	for _, p := range sizes {
+		switch {
+		case p < 1:
+			return fmt.Errorf("non-positive node count %d", p)
+		case p > ScaleMaxNodes:
+			return fmt.Errorf("node count %d exceeds the limit of %d", p, ScaleMaxNodes)
+		case masked && p > ScaleMaxDegradedNodes:
+			return fmt.Errorf("fault-mask analysis is limited to %d nodes per topology (requested %d)", ScaleMaxDegradedNodes, p)
+		}
+	}
+	return nil
 }
 
 // EvalScale evaluates one node count of a scale job: the healthy analytic

@@ -43,14 +43,12 @@ type CkptStore interface {
 	Put(key string, payload []byte) error
 }
 
-// Coordinator fans sweep jobs out to enaserve worker peers. A nil
-// Coordinator (or one with neither peers nor a checkpoint store) is
-// disabled: callers fall back to local evaluation. Safe for concurrent use
-// by multiple jobs.
+// Coordinator runs sweeps: it fans their shards out to enaserve worker
+// peers and evaluates locally whatever no peer runs — every shard, when it
+// has no peers. Safe for concurrent use by multiple jobs.
 type Coordinator struct {
-	peers     []string
-	client    *http.Client
-	shardsPer int
+	peers  []string
+	client *http.Client
 
 	prober     *Prober
 	ckpt       CkptStore
@@ -65,7 +63,6 @@ type Coordinator struct {
 	localShards *obs.Counter
 	resumedCtr  *obs.Counter
 	ckptCtr     *obs.Counter
-	peersGauge  *obs.Gauge
 }
 
 // NewCoordinator builds a coordinator over the given peer base URLs
@@ -79,7 +76,6 @@ func NewCoordinator(peers []string, reg *obs.Registry) *Coordinator {
 		// Dial/TLS inherit http.DefaultTransport's limits, and every request
 		// carries the job context.
 		client:      &http.Client{},
-		shardsPer:   DefaultShardsPerPeer,
 		ckptChunk:   DefaultCheckpointItems,
 		scaleChunk:  defaultScaleChunk,
 		dispatched:  reg.Counter("cluster.shards_dispatched"),
@@ -89,9 +85,8 @@ func NewCoordinator(peers []string, reg *obs.Registry) *Coordinator {
 		localShards: reg.Counter("cluster.local_fallback_shards"),
 		resumedCtr:  reg.Counter("jobs.resumed_shards"),
 		ckptCtr:     reg.Counter("jobs.checkpoints"),
-		peersGauge:  reg.Gauge("cluster.peers"),
 	}
-	c.peersGauge.Set(float64(len(c.peers)))
+	reg.Gauge("cluster.peers").Set(float64(len(peers)))
 	return c
 }
 
@@ -99,11 +94,7 @@ func NewCoordinator(peers []string, reg *obs.Registry) *Coordinator {
 // from the prober's healthy set instead of the static peer list, shard
 // failures feed back into it, and fast peers (by probe EWMA) pull with
 // double concurrency.
-func (c *Coordinator) SetProber(p *Prober) {
-	if c != nil {
-		c.prober = p
-	}
-}
+func (c *Coordinator) SetProber(p *Prober) { c.prober = p }
 
 // EnableCheckpoints persists completed shard partials to cs so an adopted or
 // restarted job resumes from its checkpoint instead of recomputing. chunk
@@ -111,43 +102,26 @@ func (c *Coordinator) SetProber(p *Prober) {
 // chunks keep shard boundaries identical across replicas with different
 // peer sets, which is what makes another replica's checkpoints resumable.
 func (c *Coordinator) EnableCheckpoints(cs CkptStore, chunk int) {
-	if c == nil {
-		return
-	}
 	c.ckpt = cs
 	if chunk > 0 {
 		c.ckptChunk = chunk
-		c.scaleChunk = chunk
-		if c.scaleChunk > defaultScaleChunk {
-			c.scaleChunk = defaultScaleChunk
-		}
+		c.scaleChunk = min(chunk, defaultScaleChunk)
 	}
 }
 
 // SetEvalDelay installs a chaos knob: every item evaluated locally by this
 // coordinator sleeps d first. It exists to stretch sweeps so kill-mid-sweep
 // tests (and demos) have a window to hit; production leaves it zero.
-func (c *Coordinator) SetEvalDelay(d time.Duration) {
-	if c != nil {
-		c.evalDelay = d
-	}
-}
+func (c *Coordinator) SetEvalDelay(d time.Duration) { c.evalDelay = d }
 
 // Enabled reports whether the coordinator has peers to shard onto.
-func (c *Coordinator) Enabled() bool { return c != nil && len(c.peers) > 0 }
+func (c *Coordinator) Enabled() bool { return len(c.peers) > 0 }
 
-// Active reports whether sweeps should run through the coordinator at all:
-// it has peers to fan out to, or a checkpoint store that makes even a
-// single-process sweep resumable.
-func (c *Coordinator) Active() bool { return c != nil && (len(c.peers) > 0 || c.ckpt != nil) }
-
-// Peers returns the configured peer URLs.
-func (c *Coordinator) Peers() []string {
-	if c == nil {
-		return nil
-	}
-	return append([]string(nil), c.peers...)
-}
+// Active reports whether the coordinator adds anything over a plain
+// in-process sweep: peers to fan out to, or a checkpoint store that makes
+// even a single-process sweep resumable. Callers with their own in-process
+// path (the service's perf-cached explore) use it when this is false.
+func (c *Coordinator) Active() bool { return len(c.peers) > 0 || c.ckpt != nil }
 
 // activePeers is the shard-assignment set: the prober's healthy peers when
 // health tracking is on, the static list otherwise.
@@ -193,6 +167,23 @@ func chaosSleep(ctx context.Context, d time.Duration) {
 	}
 }
 
+// sweepKind is what one kind of sweep supplies to sweep; everything else —
+// sharding, peer streaming, failover, local fallback, checkpoints and the
+// positional merge — is shared by every kind.
+type sweepKind[T any] struct {
+	// name is the worker route (/v1/internal/shard/<name>) and the
+	// checkpoint key namespace (ck:<name>:<protoVersion>:<job key>:<range>).
+	name string
+	// chunk is the checkpointed shard size; 0 never checkpoints the kind.
+	chunk int
+	// request builds the shard request a peer is sent.
+	request func(sh shard) any
+	// eval computes item i locally — the same pure function a peer runs.
+	eval func(ctx context.Context, i int) (T, error)
+	// item picks the kind's item out of a stream line (nil: wrong line).
+	item func(l shardLine) *T
+}
+
 // Explore shards the design space across the peers and merges the evaluated
 // points into the same Outcome a local dse sweep produces — bit-identical,
 // including under per-shard failover (see runShards). A non-empty ckptKey
@@ -201,76 +192,9 @@ func chaosSleep(ctx context.Context, d time.Duration) {
 // this replica's or a dead peer coordinator's — already persisted.
 func (c *Coordinator) Explore(ctx context.Context, space dse.Space, kernels []workload.Kernel, names []string, budgetW float64, opts powopt.Technique, ckptKey string) (dse.Outcome, error) {
 	pts := space.Points()
-	evals := make([]dse.Eval, len(pts))
-	filled := make([]atomic.Bool, len(pts))
-	job := shardRun{
-		n:     len(pts),
-		chunk: c.ckptChunk,
-		makeReq: func(sh shard) (string, any) {
-			return "/v1/internal/shard/explore", ExploreShardRequest{
-				V: protoVersion, CUs: space.CUs, FreqsMHz: space.FreqsMHz, BWsTBps: space.BWsTBps,
-				GPUChiplets: space.GPUChiplets, HBMStackGBs: space.HBMStackGBs, ExtModules: space.ExtModules,
-				Kernels: names, BudgetW: budgetW, Opts: uint(opts), Start: sh.start, End: sh.end,
-			}
-		},
-		apply: func(l shardLine) error {
-			if l.Type != "eval" || l.Eval == nil {
-				return fmt.Errorf("cluster: unexpected %q line in explore stream", l.Type)
-			}
-			if l.Index < 0 || l.Index >= len(pts) {
-				return fmt.Errorf("cluster: eval index %d out of the %d-point space", l.Index, len(pts))
-			}
-			evals[l.Index] = *l.Eval
-			filled[l.Index].Store(true)
-			return nil
-		},
-		local: func(ctx context.Context, sh shard) error {
-			return parallelRange(ctx, sh.end-sh.start, func(ctx context.Context, i int) error {
-				chaosSleep(ctx, c.evalDelay)
-				ev, err := dse.EvaluatePointContext(ctx, pts[sh.start+i], kernels, budgetW, opts)
-				if err != nil {
-					return err
-				}
-				evals[sh.start+i] = ev
-				filled[sh.start+i].Store(true)
-				return nil
-			})
-		},
-	}
-	if c.ckpt != nil && ckptKey != "" {
-		prefix := fmt.Sprintf("ck:explore:%d:%s:", protoVersion, ckptKey)
-		job.loadCkpt = func(sh shard) bool {
-			data, ok := c.ckpt.Get(fmt.Sprintf("%s%d-%d", prefix, sh.start, sh.end))
-			if !ok {
-				return false
-			}
-			var part []dse.Eval
-			if err := json.Unmarshal(data, &part); err != nil || len(part) != sh.end-sh.start {
-				return false
-			}
-			for i := range part {
-				evals[sh.start+i] = part[i]
-				filled[sh.start+i].Store(true)
-			}
-			return true
-		}
-		job.saveCkpt = func(sh shard) {
-			b, err := json.Marshal(evals[sh.start:sh.end])
-			if err != nil {
-				return
-			}
-			if c.ckpt.Put(fmt.Sprintf("%s%d-%d", prefix, sh.start, sh.end), b) == nil {
-				c.ckptCtr.Inc()
-			}
-		}
-	}
-	if err := c.runShards(ctx, job); err != nil {
+	evals, err := sweep(ctx, c, c.pointKind(pts, &space, kernels, names, budgetW, opts), len(pts), ckptKey)
+	if err != nil {
 		return dse.Outcome{}, err
-	}
-	for i := range filled {
-		if !filled[i].Load() {
-			return dse.Outcome{}, fmt.Errorf("cluster: point %d never evaluated (coordinator bug)", i)
-		}
 	}
 	return dse.Finalize(evals, kernels, budgetW, opts), nil
 }
@@ -281,182 +205,155 @@ func (c *Coordinator) Explore(ctx context.Context, space dse.Space, kernels []wo
 // shard computes it (MeanScore zero; the explorer's Finalize assigns it).
 // Batches are transient mid-acquisition state, so they are never
 // checkpointed: a restarted surrogate job replays its seeded acquisition
-// from the (cached) evaluations instead. The shardRun machinery — pullers,
-// retire-on-failure, requeue, local fallback — is exactly the grid path's.
+// from the (cached) evaluations instead.
 func (c *Coordinator) EvaluatePoints(ctx context.Context, pts []dse.Point, kernels []workload.Kernel, names []string, budgetW float64, opts powopt.Technique) ([]dse.Eval, error) {
-	evals := make([]dse.Eval, len(pts))
-	filled := make([]atomic.Bool, len(pts))
-	job := shardRun{
-		n:     len(pts),
-		chunk: c.ckptChunk,
-		makeReq: func(sh shard) (string, any) {
-			return "/v1/internal/shard/explore", ExploreShardRequest{
-				V: protoVersion, Points: pts[sh.start:sh.end],
-				Kernels: names, BudgetW: budgetW, Opts: uint(opts), Start: sh.start, End: sh.end,
+	return sweep(ctx, c, c.pointKind(pts, nil, kernels, names, budgetW, opts), len(pts), "")
+}
+
+// pointKind is the design-point sweep kind. With grid set, shards address
+// the canonical enumeration of that space (pts must be grid.Points()) and
+// checkpoint in fixed chunks; without, shards carry their listed points.
+func (c *Coordinator) pointKind(pts []dse.Point, grid *dse.Space, kernels []workload.Kernel, names []string, budgetW float64, opts powopt.Technique) sweepKind[dse.Eval] {
+	k := sweepKind[dse.Eval]{
+		name: "explore",
+		request: func(sh shard) any {
+			r := ExploreShardRequest{V: protoVersion, Kernels: names, BudgetW: budgetW, Opts: uint(opts), Start: sh.start, End: sh.end}
+			if grid != nil {
+				r.CUs, r.FreqsMHz, r.BWsTBps = grid.CUs, grid.FreqsMHz, grid.BWsTBps
+				r.GPUChiplets, r.HBMStackGBs, r.ExtModules = grid.GPUChiplets, grid.HBMStackGBs, grid.ExtModules
+			} else {
+				r.Points = pts[sh.start:sh.end]
 			}
+			return r
 		},
-		apply: func(l shardLine) error {
-			if l.Type != "eval" || l.Eval == nil {
-				return fmt.Errorf("cluster: unexpected %q line in explore stream", l.Type)
-			}
-			if l.Index < 0 || l.Index >= len(pts) {
-				return fmt.Errorf("cluster: eval index %d out of the %d-point batch", l.Index, len(pts))
-			}
-			evals[l.Index] = *l.Eval
-			filled[l.Index].Store(true)
-			return nil
+		eval: func(ctx context.Context, i int) (dse.Eval, error) {
+			return dse.EvaluatePointContext(ctx, pts[i], kernels, budgetW, opts)
 		},
-		local: func(ctx context.Context, sh shard) error {
-			return parallelRange(ctx, sh.end-sh.start, func(ctx context.Context, i int) error {
-				chaosSleep(ctx, c.evalDelay)
-				ev, err := dse.EvaluatePointContext(ctx, pts[sh.start+i], kernels, budgetW, opts)
-				if err != nil {
-					return err
-				}
-				evals[sh.start+i] = ev
-				filled[sh.start+i].Store(true)
+		item: func(l shardLine) *dse.Eval {
+			if l.Type != "eval" {
 				return nil
-			})
+			}
+			return l.Eval
 		},
 	}
-	if err := c.runShards(ctx, job); err != nil {
-		return nil, err
+	if grid != nil {
+		k.chunk = c.ckptChunk
 	}
-	for i := range filled {
-		if !filled[i].Load() {
-			return nil, fmt.Errorf("cluster: batch point %d never evaluated (coordinator bug)", i)
-		}
-	}
-	return evals, nil
+	return k
 }
 
 // Scale shards a machine-scale projection's node counts across the peers
 // and returns the per-size evaluations in size order. ckptKey works as in
 // Explore.
 func (c *Coordinator) Scale(ctx context.Context, kind string, spec fabric.LinkSpec, k workload.Kernel, rate float64, sizes []int, mode fabric.Mode, mask faults.Mask, maskStr string, seed int64, ckptKey string) ([]ScaleEval, error) {
-	out := make([]ScaleEval, len(sizes))
-	filled := make([]atomic.Bool, len(sizes))
-	job := shardRun{
-		n:     len(sizes),
+	return sweep(ctx, c, sweepKind[ScaleEval]{
+		name:  "scale",
 		chunk: c.scaleChunk,
-		makeReq: func(sh shard) (string, any) {
-			return "/v1/internal/shard/scale", ScaleShardRequest{
+		request: func(sh shard) any {
+			return ScaleShardRequest{
 				V: protoVersion, Kernel: k.Name, Topology: kind, Sizes: sizes, Mode: mode.String(),
 				LinkGBps: spec.BandwidthGBps, LatencyNs: spec.LatencyNs, Ideal: spec.Ideal,
 				Mask: maskStr, Seed: seed, Start: sh.start, End: sh.end,
 			}
 		},
-		apply: func(l shardLine) error {
-			if l.Type != "scale" || l.Scale == nil {
-				return fmt.Errorf("cluster: unexpected %q line in scale stream", l.Type)
-			}
-			if l.Index < 0 || l.Index >= len(sizes) {
-				return fmt.Errorf("cluster: scale index %d out of %d sizes", l.Index, len(sizes))
-			}
-			out[l.Index] = *l.Scale
-			filled[l.Index].Store(true)
-			return nil
+		eval: func(ctx context.Context, i int) (ScaleEval, error) {
+			return EvalScale(kind, spec, k, rate, sizes[i], mode, mask, seed)
 		},
-		local: func(ctx context.Context, sh shard) error {
-			for i := sh.start; i < sh.end; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				chaosSleep(ctx, c.evalDelay)
-				se, err := EvalScale(kind, spec, k, rate, sizes[i], mode, mask, seed)
-				if err != nil {
-					return err
-				}
-				out[i] = se
-				filled[i].Store(true)
+		item: func(l shardLine) *ScaleEval {
+			if l.Type != "scale" {
+				return nil
 			}
-			return nil
+			return l.Scale
 		},
+	}, len(sizes), ckptKey)
+}
+
+// sweep evaluates items [0, n) of one sweep kind and returns them in index
+// order. Without checkpointing the index space is partitioned across the
+// active peers (one local shard when there are none); with it — a store
+// installed, a job key given, and a kind that checkpoints — shards are
+// fixed-size chunks whose boundaries do not depend on the peer set, shards
+// already persisted (by this replica or any other) are resumed without
+// dispatch, and every completed shard is persisted. Peer-streamed and
+// locally evaluated items land in the same slots, so the merge is
+// positional and bit-identical to a single-process loop.
+func sweep[T any](ctx context.Context, c *Coordinator, k sweepKind[T], n int, ckptKey string) ([]T, error) {
+	out := make([]T, n)
+	filled := make([]atomic.Bool, n)
+	put := func(i int, v T) {
+		out[i] = v
+		filled[i].Store(true)
 	}
-	if c.ckpt != nil && ckptKey != "" {
-		prefix := fmt.Sprintf("ck:scale:%d:%s:", protoVersion, ckptKey)
-		job.loadCkpt = func(sh shard) bool {
-			data, ok := c.ckpt.Get(fmt.Sprintf("%s%d-%d", prefix, sh.start, sh.end))
-			if !ok {
-				return false
+	peers := c.activePeers()
+	var todo []shard
+	var save func(shard)
+	if c.ckpt != nil && ckptKey != "" && k.chunk > 0 {
+		prefix := fmt.Sprintf("ck:%s:%d:%s:", k.name, protoVersion, ckptKey)
+		key := func(sh shard) string { return fmt.Sprintf("%s%d-%d", prefix, sh.start, sh.end) }
+		for _, sh := range chunked(n, k.chunk) {
+			var part []T
+			if data, ok := c.ckpt.Get(key(sh)); ok && json.Unmarshal(data, &part) == nil && len(part) == sh.end-sh.start {
+				for i, v := range part {
+					put(sh.start+i, v)
+				}
+				c.resumedCtr.Inc()
+				continue
 			}
-			var part []ScaleEval
-			if err := json.Unmarshal(data, &part); err != nil || len(part) != sh.end-sh.start {
-				return false
-			}
-			for i := range part {
-				out[sh.start+i] = part[i]
-				filled[sh.start+i].Store(true)
-			}
-			return true
+			todo = append(todo, sh)
 		}
-		job.saveCkpt = func(sh shard) {
-			b, err := json.Marshal(out[sh.start:sh.end])
-			if err != nil {
-				return
-			}
-			if c.ckpt.Put(fmt.Sprintf("%s%d-%d", prefix, sh.start, sh.end), b) == nil {
+		save = func(sh shard) {
+			if b, err := json.Marshal(out[sh.start:sh.end]); err == nil && c.ckpt.Put(key(sh), b) == nil {
 				c.ckptCtr.Inc()
 			}
 		}
+	} else {
+		todo = partition(n, len(peers)*DefaultShardsPerPeer)
 	}
-	if err := c.runShards(ctx, job); err != nil {
+	path := "/v1/internal/shard/" + k.name
+	remote := func(ctx context.Context, peer string, sh shard) error {
+		return c.runShard(ctx, peer, path, k.request(sh), sh.end-sh.start, func(l shardLine) error {
+			v := k.item(l)
+			if v == nil {
+				return fmt.Errorf("cluster: unexpected %q line in %s stream", l.Type, k.name)
+			}
+			if l.Index < sh.start || l.Index >= sh.end {
+				return fmt.Errorf("cluster: %s index %d outside shard [%d, %d)", k.name, l.Index, sh.start, sh.end)
+			}
+			put(l.Index, *v)
+			return nil
+		})
+	}
+	local := func(ctx context.Context, i int) error {
+		chaosSleep(ctx, c.evalDelay)
+		v, err := k.eval(ctx, i)
+		if err != nil {
+			return err
+		}
+		put(i, v)
+		return nil
+	}
+	if err := c.runShards(ctx, peers, todo, remote, local, save); err != nil {
 		return nil, err
 	}
 	for i := range filled {
 		if !filled[i].Load() {
-			return nil, fmt.Errorf("cluster: size %d never evaluated (coordinator bug)", sizes[i])
+			return nil, fmt.Errorf("cluster: %s item %d never evaluated (coordinator bug)", k.name, i)
 		}
 	}
 	return out, nil
 }
 
-// shardRun is one sweep's sharding plan: the index-space size, the request
-// builder and line-merge callback for the peer path, the local evaluator,
-// and — when checkpointing — the shard resume/persist hooks.
-type shardRun struct {
-	n        int
-	chunk    int
-	makeReq  func(shard) (string, any)
-	apply    func(shardLine) error
-	local    func(context.Context, shard) error
-	loadCkpt func(shard) bool // nil disables checkpointing
-	saveCkpt func(shard)
-}
-
-// runShards partitions the job's index space into shards and drives them to
-// completion: pullers (one or two per healthy peer, by probe latency) pull
-// shards from a shared queue and stream their results; a shard whose stream
-// fails is requeued for the surviving peers (the failed peer is retired for
-// the rest of the job and reported to the prober); shards left over when
-// every peer has been retired are evaluated locally via the fallback — the
-// coordinator is itself a capable replica, so total peer loss degrades to a
-// single-process sweep instead of an error.
-//
-// With checkpointing on, shards are fixed-size chunks (peer-independent
-// boundaries), shards whose partial is already persisted are resumed without
-// dispatch, and every completed shard is persisted before being counted
-// done.
-func (c *Coordinator) runShards(ctx context.Context, job shardRun) error {
-	var shards []shard
-	ckpt := job.loadCkpt != nil
-	peers := c.activePeers()
-	if ckpt {
-		shards = chunked(job.n, job.chunk)
-	} else {
-		shards = partition(job.n, len(peers)*c.shardsPer)
-	}
-	if len(shards) == 0 {
-		return nil
-	}
-	todo := shards[:0:0]
-	for _, sh := range shards {
-		if ckpt && job.loadCkpt(sh) {
-			c.resumedCtr.Inc()
-			continue
-		}
-		todo = append(todo, sh)
-	}
+// runShards drives a sweep's shards to completion: pullers (one or two per
+// healthy peer, by probe latency) pull shards from a shared queue and stream
+// them via remote; a shard whose stream fails is requeued for the surviving
+// peers (the failed peer is retired for the rest of the job and reported to
+// the prober); the items of shards left over when every peer has been
+// retired — or when there were none — are evaluated by local, since the
+// coordinator is itself a capable replica and total peer loss degrades to a
+// single-process sweep instead of an error. save (nil: no checkpointing)
+// persists each completed shard before it counts as done.
+func (c *Coordinator) runShards(ctx context.Context, peers []string, todo []shard,
+	remote func(context.Context, string, shard) error, local func(context.Context, int) error, save func(shard)) error {
 	if len(todo) == 0 {
 		return nil
 	}
@@ -466,6 +363,12 @@ func (c *Coordinator) runShards(ctx context.Context, job shardRun) error {
 	}
 	var remaining atomic.Int64
 	remaining.Store(int64(len(todo)))
+	finish := func(sh shard) bool {
+		if save != nil {
+			save(sh)
+		}
+		return remaining.Add(-1) == 0
+	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, peer := range peers {
@@ -486,7 +389,7 @@ func (c *Coordinator) runShards(ctx context.Context, job shardRun) error {
 							return
 						}
 						c.dispatched.Inc()
-						if err := c.runShard(ctx, peer, sh, job.makeReq, job.apply); err != nil {
+						if err := remote(ctx, peer, sh); err != nil {
 							// Put the shard back for the survivors and retire
 							// this peer: a worker that failed once (crashed,
 							// drained, unreachable) is not retried this job.
@@ -500,10 +403,7 @@ func (c *Coordinator) runShards(ctx context.Context, job shardRun) error {
 							return
 						}
 						c.prober.ReportSuccess(peer, 0)
-						if job.saveCkpt != nil {
-							job.saveCkpt(sh)
-						}
-						if remaining.Add(-1) == 0 {
+						if finish(sh) {
 							close(done)
 							return
 						}
@@ -516,30 +416,44 @@ func (c *Coordinator) runShards(ctx context.Context, job shardRun) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// Whatever is left had no surviving peer to run on.
-	for remaining.Load() > 0 {
-		select {
-		case sh := <-pending:
-			c.localShards.Inc()
-			if err := job.local(ctx, sh); err != nil {
-				return err
-			}
-			if job.saveCkpt != nil {
-				job.saveCkpt(sh)
-			}
-			remaining.Add(-1)
-		default:
-			return errors.New("cluster: shard accounting mismatch (coordinator bug)")
+	// Whatever is left had no surviving peer to run on. All its items share
+	// one local pool in index order — a pool per shard would idle cores at
+	// every shard boundary, and would run a scale job's two largest sizes
+	// side by side or one after the other by how its sizes fall into
+	// chunks — and a shard counts done when its last item lands.
+	left := make([]shard, 0, len(pending))
+	for len(pending) > 0 {
+		left = append(left, <-pending)
+	}
+	if int64(len(left)) != remaining.Load() {
+		return errors.New("cluster: shard accounting mismatch (coordinator bug)")
+	}
+	c.localShards.Add(int64(len(left)))
+	type item struct{ i, sh int }
+	var items []item
+	rest := make([]atomic.Int64, len(left))
+	for s, sh := range left {
+		rest[s].Store(int64(sh.end - sh.start))
+		for i := sh.start; i < sh.end; i++ {
+			items = append(items, item{i, s})
 		}
 	}
-	return nil
+	return parallelRange(ctx, len(items), func(ctx context.Context, k int) error {
+		it := items[k]
+		if err := local(ctx, it.i); err != nil {
+			return err
+		}
+		if rest[it.sh].Add(-1) == 0 {
+			finish(left[it.sh])
+		}
+		return nil
+	})
 }
 
-// runShard posts one shard to a peer and applies its streamed lines. Any
-// transport error, non-200 status, malformed line, or a stream that ends
-// without the "done" trailer fails the shard.
-func (c *Coordinator) runShard(ctx context.Context, peer string, sh shard, makeReq func(shard) (string, any), apply func(shardLine) error) error {
-	path, reqBody := makeReq(sh)
+// runShard posts one shard request to a peer and applies its streamed
+// lines. Any transport error, non-200 status, malformed line, or a stream
+// that ends without a "done" trailer counting want items fails the shard.
+func (c *Coordinator) runShard(ctx context.Context, peer, path string, reqBody any, want int, apply func(shardLine) error) error {
 	body, err := json.Marshal(reqBody)
 	if err != nil {
 		return fmt.Errorf("cluster: shard request marshal: %w", err)
@@ -572,8 +486,8 @@ func (c *Coordinator) runShard(ctx context.Context, peer string, sh shard, makeR
 		}
 		switch l.Type {
 		case "done":
-			if l.Count != sh.end-sh.start {
-				return fmt.Errorf("cluster: peer %s finished %d items, want %d", peer, l.Count, sh.end-sh.start)
+			if l.Count != want {
+				return fmt.Errorf("cluster: peer %s finished %d items, want %d", peer, l.Count, want)
 			}
 			return nil
 		case "error":
@@ -590,23 +504,4 @@ func (c *Coordinator) runShard(ctx context.Context, peer string, sh shard, makeR
 		return fmt.Errorf("cluster: stream from %s cut after %d items: %w", peer, items, err)
 	}
 	return fmt.Errorf("cluster: stream from %s ended after %d items without done", peer, items)
-}
-
-// Ping probes one peer's internal liveness route.
-func (c *Coordinator) Ping(ctx context.Context, peer string) error {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/internal/ping", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: peer %s: %s", peer, resp.Status)
-	}
-	return nil
 }

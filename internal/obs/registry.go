@@ -66,6 +66,21 @@ func (g *Gauge) SetMax(v float64) {
 	}
 }
 
+// Add moves the gauge by delta (an up/down count such as in-flight
+// requests). Safe under concurrent Add calls: a CAS loop, so no update is
+// lost the way a Set(Value()+delta) pair would lose one.
+func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
+}
+
 // Value returns the gauge's current value (zero on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {

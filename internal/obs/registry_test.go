@@ -75,6 +75,29 @@ func TestGaugeConcurrentSetMax(t *testing.T) {
 	}
 }
 
+func TestGaugeConcurrentAddBalances(t *testing.T) {
+	// An in-flight count: every +1 is matched by a -1, so however the
+	// goroutines interleave the gauge must come back to exactly zero.
+	g := NewRegistry().Gauge("inflight")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				g.Add(1)
+				g.Add(-1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := g.Value(); got != 0 {
+		t.Fatalf("balanced adds left the gauge at %v, want 0", got)
+	}
+	var nilGauge *Gauge
+	nilGauge.Add(1) // nil-safe like every other method
+}
+
 func TestHistogramBinningAndSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat", []float64{10, 100})

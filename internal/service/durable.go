@@ -128,13 +128,17 @@ func (m *durableManager) transition(id string, state JobState, errMsg string, in
 	st := string(state)
 	if interrupted {
 		st = store.StateInterrupted
-		m.interruptedCtr.Inc()
 	}
 	rec := store.Record{ID: id, Type: "state", State: st, Err: errMsg, Owner: m.owner}
 	if !store.TerminalState(st) {
 		rec.LeaseMs = m.leaseMs(time.Now())
 	}
 	m.append(rec)
+	// Count only once the record is down: a reader that sees the counter
+	// must find the recoverable state in the journal.
+	if interrupted {
+		m.interruptedCtr.Inc()
+	}
 }
 
 // pruned implements jobRecorder: a job evicted from the scheduler table no
@@ -287,23 +291,15 @@ func (m *durableManager) view(id string) (JobView, bool) {
 // storedResult decodes a journalled job's result payload from the persistent
 // store by its canonical key (nil when absent or undecodable).
 func (s *Server) storedResult(kind, key string) any {
-	if s.cfg.Store == nil || key == "" {
+	jk, ok := jobKinds[kind]
+	if !ok || s.cfg.Store == nil || key == "" {
 		return nil
 	}
 	payload, ok := s.cfg.Store.Get(key)
 	if !ok {
 		return nil
 	}
-	var decode func([]byte) (any, error)
-	switch kind {
-	case "explore":
-		decode = decodeAs[ExploreResult]
-	case "scale":
-		decode = decodeAs[ScaleResult]
-	default:
-		return nil
-	}
-	v, err := decode(payload)
+	v, err := jk.decode(payload)
 	if err != nil {
 		return nil
 	}
@@ -311,33 +307,84 @@ func (s *Server) storedResult(kind, key string) any {
 }
 
 // runnerForJournal rebuilds a journalled job's execution closure from its
-// original request spec. The spec re-resolves through the same path the
-// handler used, so the canonical key — and therefore the store slot and
-// checkpoint prefix — is identical.
+// original request spec. The spec re-resolves through the kind's table entry
+// — the path the handler used — so the canonical key, and therefore the
+// store slot and checkpoint prefix, is identical.
 func (s *Server) runnerForJournal(e store.Entry) (func(context.Context) (any, error), time.Duration, error) {
-	switch e.Kind {
-	case "explore":
-		var req ExploreRequest
-		if err := json.Unmarshal(e.Spec, &req); err != nil {
-			return nil, 0, fmt.Errorf("explore spec: %w", err)
-		}
-		ej, err := req.resolve()
-		if err != nil {
-			return nil, 0, fmt.Errorf("explore spec: %w", err)
-		}
-		return s.exploreRunner(ej), s.jobTimeout(ej.timeout), nil
-	case "scale":
-		var req ScaleRequest
-		if err := json.Unmarshal(e.Spec, &req); err != nil {
-			return nil, 0, fmt.Errorf("scale spec: %w", err)
-		}
-		sj, err := req.resolve()
-		if err != nil {
-			return nil, 0, fmt.Errorf("scale spec: %w", err)
-		}
-		return s.scaleRunner(sj), s.jobTimeout(sj.timeout), nil
+	jk, ok := jobKinds[e.Kind]
+	if !ok {
+		return nil, 0, fmt.Errorf("unknown job kind %q", e.Kind)
 	}
-	return nil, 0, fmt.Errorf("unknown job kind %q", e.Kind)
+	rj, err := jk.resolve(s, func(v any) error { return json.Unmarshal(e.Spec, v) })
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s spec: %w", e.Kind, err)
+	}
+	return rj.run, rj.timeout, nil
+}
+
+// jobKind is one async job kind's entry in jobKinds.
+type jobKind struct {
+	// resolve decodes a request (via decode: the HTTP body on submission,
+	// the journalled spec on replay) and validates it into a runnable job.
+	resolve func(s *Server, decode func(any) error) (resolvedJob, error)
+	// decode reads the kind's stored result payload.
+	decode func([]byte) (any, error)
+}
+
+// resolvedJob is a validated job ready to submit.
+type resolvedJob struct {
+	key     string        // canonical result key: store slot and checkpoint prefix
+	timeout time.Duration // server default applied
+	spec    any           // the request as decoded, journalled for replay
+	run     func(context.Context) (any, error)
+}
+
+// jobKinds is the async job table: POST /v1/<kind> submits through it,
+// and recovery and adoption replay journalled specs through it. Adding a
+// kind is one entry: a request type whose resolve yields a job with a key
+// and timeout, and a compute function over that job.
+var jobKinds = map[string]jobKind{
+	"explore": newJobKind(ExploreRequest.resolve, (*Server).explore),
+	"scale":   newJobKind(ScaleRequest.resolve, (*Server).scale),
+}
+
+// keyedJob is a resolved request: its canonical result key and timeout.
+type keyedJob interface {
+	meta() (key string, timeout time.Duration)
+}
+
+// newJobKind builds a table entry. The job's result is content-addressed:
+// run serves it from the cache or store when present and computes it at
+// most once per key otherwise.
+func newJobKind[Req any, J keyedJob, Res any](resolve func(Req) (J, error), compute func(*Server, context.Context, J) (Res, error)) jobKind {
+	return jobKind{
+		resolve: func(s *Server, decode func(any) error) (resolvedJob, error) {
+			var req Req
+			if err := decode(&req); err != nil {
+				return resolvedJob{}, err
+			}
+			job, err := resolve(req)
+			if err != nil {
+				return resolvedJob{}, err
+			}
+			key, timeout := job.meta()
+			run := func(ctx context.Context) (any, error) {
+				val, _, err := s.cache.DoPersist(ctx, key, decodeAs[Res], func() (any, error) {
+					res, err := compute(s, ctx, job)
+					if err != nil {
+						return nil, err
+					}
+					return res, nil
+				})
+				if err != nil {
+					return nil, err
+				}
+				return val, nil
+			}
+			return resolvedJob{key: key, timeout: s.jobTimeout(timeout), spec: req, run: run}, nil
+		},
+		decode: decodeAs[Res],
+	}
 }
 
 // jobTimeout applies the server default when the request set none.

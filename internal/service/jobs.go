@@ -403,26 +403,49 @@ func (s *Scheduler) Cancel(id string) (JobView, bool) {
 		return JobView{}, false
 	}
 	j.mu.Lock()
-	var cancelled bool
+	claimed := false
 	switch j.state {
 	case JobQueued:
-		j.state = JobCancelled
+		// Claim the job so no worker starts it; it turns cancelled only
+		// once the journal says so (see publish).
+		claimed = !j.userCancelled
 		j.userCancelled = true
-		j.err = context.Canceled
-		j.finished = time.Now()
-		close(j.done)
-		s.cancelledCtr.Inc()
-		cancelled = true
 	case JobRunning:
 		j.userCancelled = true
 		j.cancel()
 	}
 	v := j.viewLocked()
 	j.mu.Unlock()
-	if cancelled {
-		s.record(j.id, JobCancelled, context.Canceled.Error(), false)
+	if claimed {
+		v = s.publish(j, JobCancelled, nil, context.Canceled, false)
 	}
 	return v, true
+}
+
+// publish moves a job to its terminal state. The journal record is written
+// first and the state becomes visible — to Get, Wait and the counters —
+// only after it, so whoever sees a job finished also finds it finished in
+// the journal (a restarted or adopting replica reads nothing stale).
+func (s *Scheduler) publish(j *job, state JobState, res any, err error, interrupted bool) JobView {
+	errMsg := ""
+	if err != nil {
+		errMsg = err.Error()
+	}
+	s.record(j.id, state, errMsg, interrupted)
+	switch state {
+	case JobDone:
+		s.completed.Inc()
+	case JobCancelled:
+		s.cancelledCtr.Inc()
+	default:
+		s.failed.Inc()
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state, j.result, j.err = state, res, err
+	j.finished = time.Now()
+	close(j.done)
+	return j.viewLocked()
 }
 
 // Wait blocks until the job reaches a terminal state or ctx ends, returning
@@ -490,7 +513,7 @@ func (s *Scheduler) worker() {
 
 func (s *Scheduler) execute(j *job) {
 	j.mu.Lock()
-	if j.state != JobQueued { // cancelled while waiting in the queue
+	if j.state != JobQueued || j.userCancelled { // cancelled while waiting in the queue
 		j.mu.Unlock()
 		return
 	}
@@ -514,36 +537,25 @@ func (s *Scheduler) execute(j *job) {
 	s.runningGauge.Set(float64(s.running.Add(-1)))
 
 	j.mu.Lock()
-	j.finished = time.Now()
 	j.retries = retries
 	j.quarantined = quarantined
-	s.durHist.Observe(float64(j.finished.Sub(j.started)))
-	foldEwma(&s.ewmaNs, j.finished.Sub(j.started))
-	var interrupted bool
+	started, userCancelled := j.started, j.userCancelled
+	j.mu.Unlock()
+	ran := time.Since(started)
+	s.durHist.Observe(float64(ran))
+	foldEwma(&s.ewmaNs, ran)
+	state, interrupted := JobDone, false
 	switch {
 	case err == nil:
-		j.state = JobDone
-		j.result = res
-		s.completed.Inc()
 	case errors.Is(err, context.Canceled):
-		j.state = JobCancelled
-		j.err = err
-		s.cancelledCtr.Inc()
+		state = JobCancelled
 		// A cancellation nobody asked for — drain deadline or base-context
 		// shutdown — leaves the job recoverable by a restarted replica.
-		interrupted = !j.userCancelled && (s.interrupting.Load() || s.baseCtx.Err() != nil)
+		interrupted = !userCancelled && (s.interrupting.Load() || s.baseCtx.Err() != nil)
 	default:
-		j.state = JobFailed
-		j.err = err
-		s.failed.Inc()
+		state = JobFailed
 	}
-	state, errMsg := j.state, ""
-	if j.err != nil {
-		errMsg = j.err.Error()
-	}
-	close(j.done)
-	j.mu.Unlock()
-	s.record(j.id, state, errMsg, interrupted)
+	s.publish(j, state, res, err, interrupted)
 }
 
 // runResilient executes a job function with the scheduler's fault handling:

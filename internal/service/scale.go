@@ -2,13 +2,8 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ena/internal/cluster"
@@ -30,23 +25,13 @@ import (
 // Scale jobs ride the same scheduler (async 202 + job id), result cache
 // (canonical-JSON key) and per-route circuit breaker as /v1/explore.
 
-// scaleMaxSizes bounds how many node counts one request may sweep;
-// scaleMaxNodes bounds each count (the §V-F machine is 100k nodes).
-const (
-	scaleMaxSizes = 16
-	scaleMaxNodes = 1 << 20
-	// scaleMaxDegradedNodes bounds fault-mask analysis: degraded routing
-	// falls back to per-pair BFS around the victims, which is priced for
-	// rack scale, not the full machine.
-	scaleMaxDegradedNodes = 4096
-)
-
 // ScaleRequest is the body of POST /v1/scale. Kernel is required; Topology
 // defaults to "torus", Nodes to the node -> rack -> machine walk
 // {1, 50, 1000, 20000, 100000}, Mode to "weak". Zero link parameters take
 // the reference fabric (50 GB/s, 500 ns); Ideal replaces the fabric with a
 // zero-cost one (the §V-F arithmetic, for calibration). FaultMask accepts
-// node terms only and caps every requested size at 4096 nodes.
+// node terms only and caps every requested size at
+// cluster.ScaleMaxDegradedNodes (4096).
 type ScaleRequest struct {
 	Kernel     string  `json:"kernel"`
 	Topology   string  `json:"topology,omitempty"`
@@ -104,6 +89,8 @@ type scaleJob struct {
 	key     string
 }
 
+func (j scaleJob) meta() (string, time.Duration) { return j.key, j.timeout }
+
 // scaleCanon is the canonical-JSON form hashed into a scale cache key
 // (V bumps when any field's semantics change). The mask is the parsed
 // grammar's canonical rendering, so equivalent spellings share a slot; the
@@ -136,39 +123,13 @@ func (r ScaleRequest) resolve() (scaleJob, error) {
 	if kind == "" {
 		kind = "torus"
 	}
-	valid := false
-	for _, known := range fabric.Kinds() {
-		if kind == known {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		return scaleJob{}, fmt.Errorf("unknown topology %q (want %s)", r.Topology, strings.Join(fabric.Kinds(), ", "))
-	}
 	sizes := []int{1, 50, 1000, 20000, 100000}
 	if len(r.Nodes) > 0 {
 		sizes = sortedUniqueInts(r.Nodes)
 	}
-	if len(sizes) > scaleMaxSizes {
-		return scaleJob{}, fmt.Errorf("%d node counts exceed the per-request limit of %d", len(sizes), scaleMaxSizes)
-	}
-	for _, p := range sizes {
-		if p < 1 {
-			return scaleJob{}, fmt.Errorf("non-positive node count %d", p)
-		}
-		if p > scaleMaxNodes {
-			return scaleJob{}, fmt.Errorf("node count %d exceeds the limit of %d", p, scaleMaxNodes)
-		}
-	}
-	var mode fabric.Mode
-	switch strings.ToLower(strings.TrimSpace(r.Mode)) {
-	case "", "weak":
-		mode = fabric.Weak
-	case "strong":
-		mode = fabric.Strong
-	default:
-		return scaleJob{}, fmt.Errorf("unknown mode %q (want strong or weak)", r.Mode)
+	mode, err := cluster.ParseMode(r.Mode)
+	if err != nil {
+		return scaleJob{}, err
 	}
 	if r.LinkGBps < 0 || r.LatencyNs < 0 {
 		return scaleJob{}, fmt.Errorf("negative link parameters (%v GB/s, %v ns)", r.LinkGBps, r.LatencyNs)
@@ -195,11 +156,9 @@ func (r ScaleRequest) resolve() (scaleJob, error) {
 		}
 		mask = node
 		maskStr = mask.String()
-		for _, p := range sizes {
-			if p > scaleMaxDegradedNodes {
-				return scaleJob{}, fmt.Errorf("fault-mask analysis is limited to %d nodes per topology (requested %d)", scaleMaxDegradedNodes, p)
-			}
-		}
+	}
+	if err := cluster.CheckScaleEnvelope(kind, sizes, !mask.Empty()); err != nil {
+		return scaleJob{}, err
 	}
 	if r.TimeoutSec < 0 {
 		return scaleJob{}, fmt.Errorf("negative timeout_sec %v", r.TimeoutSec)
@@ -230,59 +189,16 @@ func (r ScaleRequest) resolve() (scaleJob, error) {
 	}, nil
 }
 
-func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
-	var req ScaleRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	sj, err := req.resolve()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	view, err := s.submitJob("scale", sj.key, req, s.jobTimeout(sj.timeout), s.scaleRunner(sj))
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeBackpressure(w, s.sched.RetryAfterSecs(), err)
-		return
-	case errors.Is(err, ErrDraining):
-		writeBackpressure(w, 1, err)
-		return
-	case err != nil:
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job": view})
-}
-
-// scaleRunner is the execution closure of one scale job — what the scheduler
-// runs now, and what a recovering or adopting replica rebuilds from the
-// journalled request spec.
-func (s *Server) scaleRunner(sj scaleJob) func(context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		val, _, err := s.cache.DoPersist(ctx, sj.key, decodeAs[ScaleResult], func() (any, error) {
-			out, err := s.scale(ctx, sj)
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return val, nil
-	}
-}
-
 // scale runs one resolved scale job: every node count through
 // cluster.EvalScale — the healthy analytic point plus, when the mask kills
 // nodes, the degraded re-evaluation with collectives rerouted around the
-// victims. With worker peers configured, the size list is sharded across
-// them; EvalScale is a pure function of the job, so the sharded evaluations
-// are bit-identical to the local loop below (a degraded mask that
-// disconnects the survivors is a partitioned point, not a job error — the
-// client asked what that failure does, and the answer is "no machine left").
+// victims. The sizes go through the coordinator's sweep like any other
+// sweep kind: sharded across worker peers when there are any, evaluated
+// locally otherwise, checkpointed when the server has a store. EvalScale is
+// a pure function of the job, so every path is bit-identical (a degraded
+// mask that disconnects the survivors is a partitioned point, not a job
+// error — the client asked what that failure does, and the answer is "no
+// machine left").
 func (s *Server) scale(ctx context.Context, sj scaleJob) (ScaleResult, error) {
 	rate := exp.NodeRateFor(sj.kernel)
 	out := ScaleResult{
@@ -299,7 +215,7 @@ func (s *Server) scale(ctx context.Context, sj scaleJob) (ScaleResult, error) {
 	if sj.maskStr != "" {
 		out.Seed = sj.seed
 	}
-	evals, err := s.scaleEvals(ctx, sj, rate)
+	evals, err := s.coord.Scale(ctx, sj.kind, sj.spec, sj.kernel, rate, sj.sizes, sj.mode, sj.mask, sj.maskStr, sj.seed, sj.key)
 	if err != nil {
 		return ScaleResult{}, err
 	}
@@ -318,60 +234,4 @@ func (s *Server) scale(ctx context.Context, sj scaleJob) (ScaleResult, error) {
 		out.Points = append(out.Points, sp)
 	}
 	return out, nil
-}
-
-// scaleEvals evaluates the job's node counts — through the coordinator when
-// peers or a checkpoint store are configured, locally otherwise.
-func (s *Server) scaleEvals(ctx context.Context, sj scaleJob, rate float64) ([]cluster.ScaleEval, error) {
-	if s.coord.Active() {
-		return s.coord.Scale(ctx, sj.kind, sj.spec, sj.kernel, rate, sj.sizes, sj.mode, sj.mask, sj.maskStr, sj.seed, sj.key)
-	}
-	evals := make([]cluster.ScaleEval, len(sj.sizes))
-	err := parallelSizes(ctx, len(sj.sizes), func(i int) error {
-		se, err := cluster.EvalScale(sj.kind, sj.spec, sj.kernel, rate, sj.sizes[i], sj.mode, sj.mask, sj.seed)
-		if err != nil {
-			return err
-		}
-		evals[i] = se
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return evals, nil
-}
-
-// parallelSizes runs fn(i) for i in [0, n) on up to GOMAXPROCS goroutines,
-// stopping at the first error or context end.
-func parallelSizes(ctx context.Context, n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var (
-		next  atomic.Int64
-		first atomic.Value
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || first.Load() != nil || ctx.Err() != nil {
-					return
-				}
-				if err := fn(i); err != nil {
-					first.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err, _ := first.Load().(error); err != nil {
-		return err
-	}
-	return ctx.Err()
 }

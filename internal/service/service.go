@@ -241,17 +241,18 @@ func New(ctx context.Context, cfg Config) *Server {
 	}
 	s.cache.chaos = cfg.Chaos
 	s.cache.SetStore(cfg.Store)
-	if len(cfg.Peers) > 0 || (cfg.Store != nil && !cfg.WorkerOnly) {
-		s.coord = cluster.NewCoordinator(cfg.Peers, reg)
-		if cfg.Store != nil {
-			s.coord.EnableCheckpoints(cfg.Store, cfg.CheckpointItems)
-		}
-		s.coord.SetEvalDelay(cfg.EvalDelay)
-		if len(cfg.Peers) > 0 {
-			s.prober = cluster.NewProber(cfg.Peers, cfg.ProbeInterval, reg)
-			s.coord.SetProber(s.prober)
-			go s.prober.Run(ctx)
-		}
+	// Every sweep kind runs through the coordinator. Without peers or a
+	// store it is a single local shard; explore jobs then take the
+	// perf-cached in-process paths instead (see explore).
+	s.coord = cluster.NewCoordinator(cfg.Peers, reg)
+	if cfg.Store != nil && !cfg.WorkerOnly {
+		s.coord.EnableCheckpoints(cfg.Store, cfg.CheckpointItems)
+	}
+	s.coord.SetEvalDelay(cfg.EvalDelay)
+	if len(cfg.Peers) > 0 {
+		s.prober = cluster.NewProber(cfg.Peers, cfg.ProbeInterval, reg)
+		s.coord.SetProber(s.prober)
+		go s.prober.Run(ctx)
 	}
 	s.admitSim = newAdmission("simulate",
 		defaultAdmit(cfg.AdmitSimulate, defaultSimulateSlots()), cfg.AdmitQueue, reg)
@@ -336,8 +337,9 @@ func (s *Server) routes() {
 		return
 	}
 	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	s.mux.HandleFunc("POST /v1/explore", s.instrument("explore", s.handleExplore))
-	s.mux.HandleFunc("POST /v1/scale", s.instrument("scale", s.handleScale))
+	for kind := range jobKinds {
+		s.mux.HandleFunc("POST /v1/"+kind, s.instrument(kind, s.handleJob(kind)))
+	}
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs.get", s.handleJobGet))
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("jobs.cancel", s.handleJobCancel))
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.instrument("jobs.cancel", s.handleJobCancel))
@@ -395,7 +397,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		s.inflight.Set(s.inflight.Value() + 1)
+		s.inflight.Add(1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		if d := s.chaos.Latency(); d > 0 {
 			time.Sleep(d)
@@ -411,7 +413,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		} else {
 			admitted(sw, r)
 		}
-		s.inflight.Set(s.inflight.Value() - 1)
+		s.inflight.Add(-1)
 		s.reqCtr.Inc()
 		routeCtr.Inc()
 		if sw.status >= 400 {
@@ -680,32 +682,33 @@ func (s *Server) runDetailed(ctx context.Context, resp *SimulateResponse, job si
 	}
 }
 
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	var req ExploreRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+// handleJob is POST /v1/<kind> for an async job kind: resolve the body
+// through the kind's table entry, journal and enqueue the job, answer 202
+// with its view.
+func (s *Server) handleJob(kind string) http.HandlerFunc {
+	jk := jobKinds[kind]
+	return func(w http.ResponseWriter, r *http.Request) {
+		rj, err := jk.resolve(s, func(v any) error { return decodeBody(w, r, v) })
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		view, err := s.submitJob(kind, rj.key, rj.spec, rj.timeout, rj.run)
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			// Saturation is load-shedding, not failure: tell the client when
+			// to come back rather than making it guess.
+			writeBackpressure(w, s.sched.RetryAfterSecs(), err)
+			return
+		case errors.Is(err, ErrDraining):
+			writeBackpressure(w, 1, err)
+			return
+		case err != nil:
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, map[string]any{"job": view})
 	}
-	ej, err := req.resolve()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	view, err := s.submitJob("explore", ej.key, req, s.jobTimeout(ej.timeout), s.exploreRunner(ej))
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		// Saturation is load-shedding, not failure: tell the client when
-		// to come back rather than making it guess.
-		writeBackpressure(w, s.sched.RetryAfterSecs(), err)
-		return
-	case errors.Is(err, ErrDraining):
-		writeBackpressure(w, 1, err)
-		return
-	case err != nil:
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job": view})
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -797,25 +800,6 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 		out = append(out, kernelView{Name: k.Name, Category: k.Category.String(), Description: k.Description})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"kernels": out})
-}
-
-// exploreRunner is the execution closure of one explore job — what the
-// scheduler runs now, and what a recovering or adopting replica rebuilds
-// from the journalled request spec.
-func (s *Server) exploreRunner(ej exploreJob) func(context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		val, _, err := s.cache.DoPersist(ctx, ej.key, decodeAs[ExploreResult], func() (any, error) {
-			out, err := s.explore(ctx, ej)
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return val, nil
-	}
 }
 
 // explore runs one cancellable sweep with the server's observability sinks.

@@ -482,6 +482,8 @@ type exploreJob struct {
 	key        string
 }
 
+func (e exploreJob) meta() (string, time.Duration) { return e.key, e.timeout }
+
 // exploreCanon is the canonical (cache-key) form of an explore request. V is
 // 2 since the packaging axes and explorer fields joined the key: bumping the
 // version re-keys every job, so pre-expansion cache entries can never alias a
