@@ -1,6 +1,6 @@
 # Convenience targets for the ENA reproduction.
 
-.PHONY: all build test test-race test-service test-store test-cluster test-dse test-fabric test-workload chaos-short chaos-cluster vet fuzz-short verify bench bench-json bench-compare serve load-smoke experiments csv examples clean
+.PHONY: all build test test-race test-service test-store test-cluster test-dse test-fabric test-workload chaos-short chaos-cluster vet fuzz-short orphans verify bench bench-json bench-compare serve load-smoke experiments csv examples clean
 
 all: build vet test
 
@@ -62,12 +62,10 @@ chaos-short:
 	go test -run='Apply|Surface|Chaos' ./internal/faults/
 	go test -run='Chaos' ./internal/fabric/
 
-# Short fuzz pass over the compression codec (round-trip + ratio bounds),
-# the fault-mask parser, and the DL spec / batch-list / space-spec parsers
-# (never panic; accepted inputs are canonical fixed points).
+# Short fuzz pass over the fault-mask parser, the DL spec / batch-list /
+# space-spec parsers and the job-journal fold (never panic; accepted inputs
+# are canonical fixed points).
 fuzz-short:
-	go test -run='^$$' -fuzz=FuzzLineRoundTrip -fuzztime=10s ./internal/compress
-	go test -run='^$$' -fuzz=FuzzDecodeNeverPanics -fuzztime=5s ./internal/compress
 	go test -run='^$$' -fuzz=FuzzParseMask -fuzztime=5s ./internal/faults
 	go test -run='^$$' -fuzz=FuzzParseDL -fuzztime=5s ./internal/workload
 	go test -run='^$$' -fuzz=FuzzParseBatchList -fuzztime=5s ./internal/workload
@@ -83,13 +81,21 @@ chaos-cluster:
 	CHAOS_CLUSTER_ITERS=$${CHAOS_CLUSTER_ITERS:-5} CHAOS_CLUSTER_SEED=$${CHAOS_CLUSTER_SEED:-1} \
 		go test -count=1 -run='TestChaosClusterSIGKILL' -v ./cmd/enaserve/
 
+# Every internal package must be linked by some program: list the ones no
+# cmd or example imports, and fail if there are any.
+orphans:
+	@deps=$$(go list -deps ./cmd/... ./examples/...) || exit 1; \
+	orphans=$$(go list ./internal/... | grep -vxF "$$deps"); \
+	if [ -n "$$orphans" ]; then echo "internal packages no cmd or example imports:"; echo "$$orphans"; exit 1; fi
+
 # Tier-1 verification gate: everything must build, vet clean, and pass,
-# including the race pass over the service layer and the chaos suite. The
-# durable-job tests run ten times under the race detector: they catch a job
-# whose terminal state is visible before its journal record is written. The
-# bench gate is a soft warning (leading '-'): it only compares snapshots
-# already committed, so it never blocks when fewer than two exist.
-verify: build vet test test-service test-store test-cluster test-dse test-fabric test-workload chaos-short
+# including the orphan-package check, the race pass over the service layer
+# and the chaos suite. The durable-job tests run ten times under the race
+# detector: they catch a job whose terminal state is visible before its
+# journal record is written. The bench gate is a soft warning (leading
+# '-'): it only compares snapshots already committed, so it never blocks
+# when fewer than two exist.
+verify: build vet orphans test test-service test-store test-cluster test-dse test-fabric test-workload chaos-short
 	go test -race -count=10 -run 'TestDurable' ./internal/service/
 	CHAOS_CLUSTER_ITERS=1 go test -count=1 -run='TestChaosClusterSIGKILL' ./cmd/enaserve/
 	-@$(MAKE) --no-print-directory bench-compare

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -18,9 +19,7 @@ import (
 
 	"ena/internal/arch"
 	"ena/internal/cluster"
-	"ena/internal/compress"
 	"ena/internal/core"
-	"ena/internal/cpu"
 	"ena/internal/dram"
 	"ena/internal/event"
 	"ena/internal/exp"
@@ -282,22 +281,6 @@ func BenchmarkTraceAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressLine measures the FPC-style codec round trip.
-func BenchmarkCompressLine(b *testing.B) {
-	tr := workload.LULESH().Trace(1, compress.WordsPerLine)
-	var line [compress.WordsPerLine]uint64
-	for i := range line {
-		line[i] = tr[i].Value
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := compress.Encode(line)
-		if _, err := compress.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTraceGeneration measures synthetic workload trace production.
 func BenchmarkTraceGeneration(b *testing.B) {
 	k := workload.MiniAMR()
@@ -367,20 +350,6 @@ func BenchmarkFabricReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Replay(fabric.AllToAll, 1<<16, nil); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCPULeadingLoads measures the CPU DVFS state selection.
-func BenchmarkCPULeadingLoads(b *testing.B) {
-	m := cpu.DefaultPowerModel()
-	states := []float64{1200, 1600, 2000, 2400, 2800, 3200}
-	ps := cpu.Profiles()
-	for i := 0; i < b.N; i++ {
-		for _, p := range ps {
-			if _, err := m.EnergyOptimalMHz(p, states, 0.7); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }
@@ -467,6 +436,8 @@ func BenchmarkServiceSimulateHot(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("simulate status %d", resp.StatusCode)
 		}
+		// Drain before Close so the keep-alive connection is reused.
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 	post() // warm the cache; every timed iteration is a hit

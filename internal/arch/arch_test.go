@@ -182,29 +182,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestCPUOnlyServer(t *testing.T) {
-	s := CPUOnlyServer(2)
-	if s.CPUCores() != 32 {
-		t.Errorf("cores = %d", s.CPUCores())
-	}
-	if len(s.GPU) != 0 || len(s.HBM) != 0 {
-		t.Error("CPU-only part must carry no GPU silicon")
-	}
-	if s.ExtCapacityGB() == 0 {
-		t.Error("server part needs memory")
-	}
-	// It is NOT a valid ENA node — reuse, not exascale duty.
-	if err := s.Validate(); err != ErrNoGPU {
-		t.Errorf("expected ErrNoGPU, got %v", err)
-	}
-	if one := CPUOnlyServer(1); one.CPUCores() != 16 {
-		t.Errorf("single cluster cores = %d", one.CPUCores())
-	}
-	if clamped := CPUOnlyServer(9); clamped.CPUCores() != 32 {
-		t.Error("cluster count should clamp to the EHP's two")
-	}
-}
-
 func TestZeroBandwidthEdges(t *testing.T) {
 	n := &NodeConfig{}
 	if n.OpsPerByte() != 0 {

@@ -242,25 +242,3 @@ func (n *NodeConfig) ExtDRAMModuleCount() int {
 	}
 	return t
 }
-
-// CPUOnlyServer packages the EHP's CPU clusters as a conventional server
-// processor — the §II-A2 re-usability argument ("one or more of the CPU
-// clusters could be packaged together to create a conventional CPU-only
-// server processor"). The part keeps the CPU chiplets and an external
-// memory network but carries no GPU chiplets or in-package DRAM stacks.
-// Note: such a part is not a valid ENA compute node (Validate rejects it) —
-// it demonstrates silicon reuse, not exascale duty.
-func CPUOnlyServer(clusters int) *NodeConfig {
-	if clusters < 1 {
-		clusters = 1
-	}
-	if clusters > 2 {
-		clusters = 2
-	}
-	n := &NodeConfig{Name: fmt.Sprintf("CPU-server-%dc", clusters*4*CoresPerCPUChiplet)}
-	for i := 0; i < clusters*4; i++ {
-		n.CPU = append(n.CPU, CPUChiplet{Cores: CoresPerCPUChiplet, FreqMHz: 3200, SMT: 2})
-	}
-	n.Ext = DefaultExternalNetwork()[:2*clusters]
-	return n
-}

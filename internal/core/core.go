@@ -186,16 +186,6 @@ func SimulateContext(ctx context.Context, cfg *arch.NodeConfig, k workload.Kerne
 	return Simulate(cfg, k, opt), nil
 }
 
-// BudgetPowerW is the quantity the 160 W DSE budget constrains: package
-// power plus the external network's background power. The paper's
-// exploration assumes in-package-resident working sets, so external dynamic
-// power is excluded from the budget check (it is studied separately in
-// Fig. 9).
-func BudgetPowerW(cfg *arch.NodeConfig, k workload.Kernel, opts powopt.Technique) float64 {
-	r := Simulate(cfg, k, Options{Optimizations: opts})
-	return r.Power.PackageW() + r.Power.ExtStatic + r.Power.SerDesStatic
-}
-
 // kernelKey is the comparable identity of a kernel for memoization: every
 // field that feeds the performance model. Kernel itself is not map-usable
 // (its Trace field is a func), but Trace never influences the analytic

@@ -92,17 +92,6 @@ func TestExcludeExternal(t *testing.T) {
 	}
 }
 
-func TestBudgetPowerExcludesExtDynamic(t *testing.T) {
-	cfg := arch.BestMeanEHP()
-	k := workload.SNAP()
-	b := BudgetPowerW(cfg, k, 0)
-	r := Simulate(cfg, k, Options{})
-	want := r.Power.PackageW() + r.Power.ExtStatic + r.Power.SerDesStatic
-	if math.Abs(b-want) > 1e-9 {
-		t.Errorf("budget = %v, want %v", b, want)
-	}
-}
-
 func TestProjectSystem(t *testing.T) {
 	cfg := arch.EHP(320, 1000, 1)
 	r := Simulate(cfg, workload.MaxFlops(), Options{ExcludeExternal: true})

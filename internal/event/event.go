@@ -316,33 +316,3 @@ func (s *Sim) RunContext(ctx context.Context, maxEvents uint64) (uint64, error) 
 	}
 	return n, nil
 }
-
-// RunUntil executes events with timestamps <= deadline, leaving later events
-// queued and advancing the clock to at most the deadline. Cancelled events
-// encountered on the way are dropped and their slots recycled exactly as
-// Step does, without touching the processed count or instrumentation.
-func (s *Sim) RunUntil(deadline float64) uint64 {
-	var n uint64
-	for len(s.heap) > 0 {
-		top := s.heap[0]
-		if top.at > deadline && !s.slots[top.slot].dead {
-			break
-		}
-		at, fn, dead := s.take()
-		if dead {
-			continue
-		}
-		s.now = at
-		s.processed++
-		if s.evCounter != nil {
-			s.evCounter.Inc()
-			s.depthGauge.SetMax(float64(len(s.heap)))
-		}
-		fn()
-		n++
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-	return n
-}

@@ -108,36 +108,6 @@ func TestRunMaxEvents(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := NewSim()
-	var got []float64
-	for _, at := range []float64{1, 2, 3, 10} {
-		at := at
-		s.After(at, func() { got = append(got, at) })
-	}
-	n := s.RunUntil(5)
-	if n != 3 {
-		t.Errorf("RunUntil executed %d", n)
-	}
-	if s.Now() != 5 {
-		t.Errorf("clock should advance to the deadline: %v", s.Now())
-	}
-	s.Run(0)
-	if len(got) != 4 {
-		t.Errorf("remaining events lost: %v", got)
-	}
-}
-
-func TestRunUntilSkipsCancelled(t *testing.T) {
-	s := NewSim()
-	tk := s.After(1, func() { t.Error("cancelled event ran") })
-	tk.Cancel()
-	s.After(2, func() {})
-	if n := s.RunUntil(3); n != 1 {
-		t.Errorf("RunUntil executed %d", n)
-	}
-}
-
 // Property: regardless of insertion order, events execute in nondecreasing
 // timestamp order and the clock never goes backwards.
 func TestTimeMonotoneProperty(t *testing.T) {

@@ -89,28 +89,6 @@ func TestAcquireReleaseSim(t *testing.T) {
 	}
 }
 
-// TestRunUntilDropsTrailingCancelled: cancelled events at the queue head —
-// even past the deadline — are dropped and recycled without counting as
-// processed, mirroring Step's accounting.
-func TestRunUntilDropsTrailingCancelled(t *testing.T) {
-	s := NewSim()
-	s.After(1, func() {})
-	tk := s.After(10, func() { t.Error("cancelled event ran") })
-	tk.Cancel()
-	if n := s.RunUntil(5); n != 1 {
-		t.Errorf("RunUntil executed %d events", n)
-	}
-	if s.Processed() != 1 {
-		t.Errorf("processed = %d, want 1", s.Processed())
-	}
-	if s.Pending() != 0 {
-		t.Errorf("cancelled event past deadline not dropped: pending=%d", s.Pending())
-	}
-	if s.Now() != 5 {
-		t.Errorf("clock = %v, want 5", s.Now())
-	}
-}
-
 // TestHeapOrderLargeFanIn stresses the 4-ary sift paths with a wide heap.
 func TestHeapOrderLargeFanIn(t *testing.T) {
 	s := NewSim()

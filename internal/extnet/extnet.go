@@ -30,7 +30,6 @@ type Network struct {
 	caps    []float64 // per-module capacity, GB
 	links   []link
 	adj     [][]int // node -> link indices
-	hasX    bool
 	rootBW  float64
 	nodeCnt int
 }
@@ -55,7 +54,6 @@ func Build(cfg *arch.NodeConfig, crossLinks bool) (*Network, error) {
 	n := &Network{
 		chains:  nCh,
 		perCh:   per,
-		hasX:    crossLinks,
 		rootBW:  cfg.Ext[0].LinkGBps,
 		nodeCnt: 1 + nCh*per,
 	}
@@ -92,9 +90,6 @@ func Build(cfg *arch.NodeConfig, crossLinks bool) (*Network, error) {
 
 // Links returns the number of links (chain hops plus cross-links).
 func (n *Network) Links() int { return len(n.links) }
-
-// CrossLinks reports whether redundancy links are present.
-func (n *Network) CrossLinks() bool { return n.hasX }
 
 // FailLink marks the hop'th link of a chain failed (0 = the EHP-to-first-
 // module hop).

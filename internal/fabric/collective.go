@@ -97,9 +97,6 @@ func NewDegradedComm(t Topology, failed []int) (*Comm, error) {
 	return c, nil
 }
 
-// Topology returns the underlying network.
-func (c *Comm) Topology() Topology { return c.t }
-
 // Size is the participant count.
 func (c *Comm) Size() int { return len(c.ranks) }
 

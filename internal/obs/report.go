@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,9 +21,6 @@ type Report struct {
 func NewReport(name string, reg *Registry, wall time.Duration) *Report {
 	return &Report{Name: name, WallSeconds: wall.Seconds(), Metrics: reg.Snapshot()}
 }
-
-// JSON returns the report as indented JSON.
-func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // Render formats the report as aligned, name-sorted text for terminals:
 //

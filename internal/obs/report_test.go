@@ -35,7 +35,7 @@ func TestReportRenderAndJSON(t *testing.T) {
 		t.Error("rows not sorted by name")
 	}
 
-	js, err := rep.JSON()
+	js, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

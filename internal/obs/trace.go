@@ -64,14 +64,6 @@ func (t *Tracer) Complete(name, cat string, tsUS, durUS float64, pid, tid int, a
 	t.add(Event{Name: name, Cat: cat, Ph: "X", TS: tsUS, Dur: durUS, PID: pid, TID: tid, Args: args})
 }
 
-// Instant records an instant ("i") event.
-func (t *Tracer) Instant(name, cat string, tsUS float64, pid, tid int, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.add(Event{Name: name, Cat: cat, Ph: "i", TS: tsUS, PID: pid, TID: tid, Args: args})
-}
-
 // CounterEvent records a counter ("C") sample; values renders as a stacked
 // area chart in the trace viewer.
 func (t *Tracer) CounterEvent(name string, tsUS float64, pid int, values map[string]any) {

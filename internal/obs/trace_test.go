@@ -12,7 +12,6 @@ import (
 func TestTracerWriteJSONIsValidChromeTrace(t *testing.T) {
 	tr := NewTracer()
 	tr.Complete("noc.request", "noc", 10, 5.5, 1, 2, map[string]any{"hops": 3})
-	tr.Instant("kernel.launch", "sim", 20, 1, 0, nil)
 	tr.CounterEvent("queue_depth", 30, 1, map[string]any{"pending": 42})
 	done := tr.Span("experiment", "exp", 0, 0)
 	done()
@@ -27,8 +26,8 @@ func TestTracerWriteJSONIsValidChromeTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatalf("not valid JSON: %v", err)
 	}
-	if len(f.TraceEvents) != 4 {
-		t.Fatalf("events = %d, want 4", len(f.TraceEvents))
+	if len(f.TraceEvents) != 3 {
+		t.Fatalf("events = %d, want 3", len(f.TraceEvents))
 	}
 	phases := map[string]bool{}
 	for _, e := range f.TraceEvents {
@@ -39,7 +38,7 @@ func TestTracerWriteJSONIsValidChromeTrace(t *testing.T) {
 		}
 		phases[e["ph"].(string)] = true
 	}
-	for _, ph := range []string{"X", "i", "C"} {
+	for _, ph := range []string{"X", "C"} {
 		if !phases[ph] {
 			t.Errorf("missing phase %q", ph)
 		}
@@ -62,7 +61,6 @@ func TestTracerEmptyStillValid(t *testing.T) {
 func TestTracerNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Complete("a", "b", 0, 1, 0, 0, nil)
-	tr.Instant("a", "b", 0, 0, 0, nil)
 	tr.CounterEvent("a", 0, 0, nil)
 	tr.Span("a", "b", 0, 0)()
 	if tr.Len() != 0 || tr.WallUS() != 0 {

@@ -31,7 +31,7 @@ const (
 	// LowPowerLinks runs interconnect links in a low-power mode.
 	LowPowerLinks
 	// Compression compresses LLC<->in-package-DRAM network messages; its
-	// benefit scales with the kernel's measured data compressibility.
+	// benefit scales with the kernel's pinned Compressibility ratio.
 	Compression
 )
 

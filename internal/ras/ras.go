@@ -55,19 +55,6 @@ func eccCoverage(m ECCMode) float64 {
 	}
 }
 
-// ECCOverheadFrac returns the storage overhead of an ECC mode (the §II-A5
-// "area costs that are more challenging in our space-constrained EHP").
-func ECCOverheadFrac(m ECCMode) float64 {
-	switch m {
-	case SECDED:
-		return 0.125 // 8 check bits per 64 data bits
-	case Chipkill:
-		return 0.1875
-	default:
-		return 0
-	}
-}
-
 // Config selects the node's RAS provisions.
 type Config struct {
 	MemoryECC   ECCMode

@@ -7,18 +7,6 @@ import (
 	"ena/internal/arch"
 )
 
-func TestECCOverheads(t *testing.T) {
-	if ECCOverheadFrac(NoECC) != 0 {
-		t.Error("no ECC has no overhead")
-	}
-	if ECCOverheadFrac(SECDED) != 0.125 {
-		t.Error("SECDED is 8 check bits per 64")
-	}
-	if ECCOverheadFrac(Chipkill) <= ECCOverheadFrac(SECDED) {
-		t.Error("chipkill costs more than SECDED")
-	}
-}
-
 func TestAnalyzeProtectionImproves(t *testing.T) {
 	cfg := arch.BestMeanEHP()
 	none := Analyze(cfg, Config{}, arch.NodeCount)

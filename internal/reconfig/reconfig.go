@@ -327,15 +327,3 @@ func Run(w Workload, c Controller, budgetW float64, opts powopt.Technique) RunRe
 	}
 	return res
 }
-
-// FromApplication expands an application into a phase workload: each round
-// visits every kernel phase with work proportional to its weight.
-func FromApplication(app workload.Application, rounds int, flopsPerRound float64) Workload {
-	var w Workload
-	for r := 0; r < rounds; r++ {
-		for _, ph := range app.Phases {
-			w = append(w, Phase{Kernel: ph.Kernel, Flops: flopsPerRound * ph.Weight})
-		}
-	}
-	return w
-}

@@ -152,32 +152,6 @@ func TestStepValue(t *testing.T) {
 	}
 }
 
-func TestFromApplication(t *testing.T) {
-	app, err := workload.ApplicationByName("LULESH")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := FromApplication(app, 3, 9e12)
-	if len(w) != 3*len(app.Phases) {
-		t.Fatalf("phases = %d", len(w))
-	}
-	var total float64
-	for _, p := range w {
-		total += p.Flops
-	}
-	if total < 27e12*0.999 || total > 27e12*1.001 {
-		t.Errorf("total work = %v", total)
-	}
-	// Reconfiguration across an app's own phases still helps: its phases
-	// have different bound characters.
-	st := Run(w, NewStaticBestMean(), arch.NodePowerBudgetW, 0)
-	out := dse.Explore(dse.DefaultSpace(), workload.Suite(), arch.NodePowerBudgetW, 0)
-	or := Run(w, NewOracle(out), arch.NodePowerBudgetW, 0)
-	if or.TotalS > st.TotalS {
-		t.Errorf("oracle slower than static on app phases: %v vs %v", or.TotalS, st.TotalS)
-	}
-}
-
 func TestOracleFallback(t *testing.T) {
 	o := &Oracle{Table: map[string]dse.Point{}, Fallback: dse.Point{CUs: 320, FreqMHz: 1000, BWTBps: 3}}
 	k, err := workload.ByName("CoMD")

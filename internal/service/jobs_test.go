@@ -171,7 +171,9 @@ func TestSchedulerQueueFull(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	gate := make(chan struct{})
-	started := make(chan struct{})
+	// Buffered so the worker's signal is kept even when it runs "a"
+	// before the test reaches <-started.
+	started := make(chan struct{}, 1)
 	block := func(ctx context.Context) (any, error) {
 		select {
 		case started <- struct{}{}:

@@ -290,9 +290,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.sched.Drain(ctx)
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Stats is the point-in-time service summary logged on drain: how well the
 // result tiers worked over the process's lifetime.
 type Stats struct {

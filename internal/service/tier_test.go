@@ -213,7 +213,19 @@ func TestServiceShardedScaleBitIdentical(t *testing.T) {
 // disappears mid-drain: the shards fail over to local evaluation and the job
 // still completes before Drain returns.
 func TestDrainWithInflightJobAndPeerLoss(t *testing.T) {
-	peer := httptest.NewServer(cluster.WorkerHandler(obs.NewRegistry()))
+	// Shard requests are held until the peer has been cut off, so the job is
+	// always still in flight when the peer dies.
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	worker := cluster.WorkerHandler(obs.NewRegistry())
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		<-release
+		worker.ServeHTTP(w, r)
+	}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := New(ctx, Config{Workers: 2, Peers: []string{peer.URL}})
@@ -236,6 +248,9 @@ func TestDrainWithInflightJobAndPeerLoss(t *testing.T) {
 
 	// Kill the only peer, then drain: the in-flight sweep must finish via
 	// shard failover onto the coordinator itself.
+	<-arrived
+	peer.CloseClientConnections()
+	close(release)
 	peer.Close()
 	drainCtx, dc := context.WithTimeout(context.Background(), 60*time.Second)
 	defer dc()

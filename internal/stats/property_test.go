@@ -47,10 +47,6 @@ func TestPermutationInvariance(t *testing.T) {
 		fn   func([]float64) float64
 	}{
 		{"Mean", Mean},
-		{"Sum", Sum},
-		{"Stddev", Stddev},
-		{"GeoMean", GeoMean},
-		{"HarmonicMean", HarmonicMean},
 	}
 	for trial := 0; trial < propTrials; trial++ {
 		xs := randSlice(rng, 1+rng.Intn(64), true)
@@ -92,10 +88,6 @@ func TestScalingLaws(t *testing.T) {
 			got, want float64
 		}{
 			{"Mean", Mean(scaled), c * Mean(xs)},
-			{"Sum", Sum(scaled), c * Sum(xs)},
-			{"Stddev", Stddev(scaled), c * Stddev(xs)},
-			{"GeoMean", GeoMean(scaled), c * GeoMean(xs)},
-			{"HarmonicMean", HarmonicMean(scaled), c * HarmonicMean(xs)},
 		}
 		for _, ch := range checks {
 			if !relClose(ch.got, ch.want, 1e-9) {
@@ -117,11 +109,6 @@ func TestTranslationLaws(t *testing.T) {
 		if !relClose(Mean(moved), Mean(xs)+d, 1e-9) {
 			t.Fatalf("trial %d: Mean not translation-equivariant", trial)
 		}
-		// Spread is translation-invariant (absolute tolerance: cancellation).
-		if math.Abs(Stddev(moved)-Stddev(xs)) > 1e-6 {
-			t.Fatalf("trial %d: Stddev not translation-invariant: %v vs %v",
-				trial, Stddev(moved), Stddev(xs))
-		}
 	}
 }
 
@@ -131,28 +118,17 @@ func TestMeanBounds(t *testing.T) {
 		xs := randSlice(rng, 1+rng.Intn(64), true)
 		lo, _ := Min(xs)
 		hi, _ := Max(xs)
-		h, g, m := HarmonicMean(xs), GeoMean(xs), Mean(xs)
-		// AM-GM-HM chain for positive inputs, and all within [min, max].
+		m := Mean(xs)
 		const eps = 1e-9
-		if !(h <= g*(1+eps) && g <= m*(1+eps)) {
-			t.Fatalf("trial %d: HM <= GM <= AM violated: %v, %v, %v", trial, h, g, m)
-		}
-		for name, v := range map[string]float64{"HM": h, "GM": g, "AM": m} {
-			if v < lo*(1-eps) || v > hi*(1+eps) {
-				t.Fatalf("trial %d: %s = %v outside [%v, %v]", trial, name, v, lo, hi)
-			}
+		if m < lo*(1-eps) || m > hi*(1+eps) {
+			t.Fatalf("trial %d: mean = %v outside [%v, %v]", trial, m, lo, hi)
 		}
 	}
 }
 
 func TestEmptyInputContract(t *testing.T) {
-	for name, fn := range map[string]func([]float64) float64{
-		"Mean": Mean, "Sum": Sum, "Stddev": Stddev,
-		"GeoMean": GeoMean, "HarmonicMean": HarmonicMean,
-	} {
-		if got := fn(nil); got != 0 {
-			t.Errorf("%s(nil) = %v, want 0", name, got)
-		}
+	if got := Mean(nil); got != 0 {
+		t.Errorf("Mean(nil) = %v, want 0", got)
 	}
 	if _, err := Min(nil); err != ErrEmpty {
 		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
@@ -163,23 +139,9 @@ func TestEmptyInputContract(t *testing.T) {
 	if _, err := Percentile(nil, 50); err != ErrEmpty {
 		t.Errorf("Percentile(nil) err = %v, want ErrEmpty", err)
 	}
-	if got := ArgMax(nil); got != -1 {
-		t.Errorf("ArgMax(nil) = %d, want -1", got)
-	}
 }
 
 func TestNonPositiveInputContract(t *testing.T) {
-	// GeoMean mirrors math.Log: zero or negative entries poison the result.
-	if got := GeoMean([]float64{1, 0, 4}); !math.IsNaN(got) && got != 0 {
-		t.Errorf("GeoMean with zero = %v, want 0 or NaN", got)
-	}
-	if got := GeoMean([]float64{2, -3}); !math.IsNaN(got) {
-		t.Errorf("GeoMean with negative = %v, want NaN", got)
-	}
-	// HarmonicMean: a zero entry drives the mean itself to zero (1/0 = +Inf).
-	if got := HarmonicMean([]float64{1, 0, 4}); got != 0 {
-		t.Errorf("HarmonicMean with zero = %v, want 0", got)
-	}
 	if _, err := Percentile([]float64{1}, 101); err == nil {
 		t.Error("Percentile(101) must error")
 	}
@@ -209,40 +171,6 @@ func TestPercentileProperties(t *testing.T) {
 				t.Fatalf("trial %d: percentile not monotonic at p=%v", trial, p)
 			}
 			prev = v
-		}
-	}
-}
-
-func TestHistogramConservationProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < propTrials; trial++ {
-		h := NewHistogram(-50, 50, 1+rng.Intn(20))
-		n := 1 + rng.Intn(500)
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			v := rng.NormFloat64() * 40 // some fall outside [-50, 50)
-			h.Add(v)
-			sum += v
-		}
-		var binned uint64
-		for _, c := range h.Bins {
-			binned += c
-		}
-		if total := binned + h.Underflow + h.Overflow; total != h.Count() || h.Count() != uint64(n) {
-			t.Fatalf("trial %d: observations lost: bins+under+over=%d count=%d n=%d",
-				trial, total, h.Count(), n)
-		}
-		if !relClose(h.Mean(), sum/float64(n), 1e-9) {
-			t.Fatalf("trial %d: histogram mean %v, direct mean %v", trial, h.Mean(), sum/float64(n))
-		}
-		// CDF is monotone non-decreasing and bounded by [0, 1].
-		prev := 0.0
-		for x := -60.0; x <= 60; x += 5 {
-			c := h.CDFAt(x)
-			if c < prev || c < 0 || c > 1 {
-				t.Fatalf("trial %d: CDF not monotone in [0,1] at x=%v: %v (prev %v)", trial, x, c, prev)
-			}
-			prev = c
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit shared by the ENA
-// models and experiment harnesses: summary statistics, histograms, and series
-// helpers used when reproducing the paper's figures.
+// models and experiment harnesses: means, extrema, percentiles and a
+// monotonicity check used when reproducing the paper's figures.
 package stats
 
 import (
@@ -22,31 +22,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All inputs must be positive;
-// non-positive entries make the result NaN, mirroring math.Log behaviour.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// HarmonicMean returns the harmonic mean of xs (all entries must be > 0).
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += 1 / x
-	}
-	return float64(len(xs)) / s
 }
 
 // Min returns the minimum of xs and an error when xs is empty.
@@ -75,29 +50,6 @@ func Max(xs []float64) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mu := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (0..100) using linear interpolation
@@ -132,18 +84,4 @@ func IsMonotonicNonDecreasing(xs []float64, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// ArgMax returns the index of the largest element (-1 for empty input).
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

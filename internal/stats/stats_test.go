@@ -16,34 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if got := GeoMean([]float64{7}); math.Abs(got-7) > 1e-12 {
-		t.Errorf("GeoMean single = %v", got)
-	}
-}
-
-func TestHarmonicMean(t *testing.T) {
-	if got := HarmonicMean([]float64{1, 1}); got != 1 {
-		t.Errorf("HarmonicMean = %v", got)
-	}
-	// Harmonic <= geometric <= arithmetic for positive inputs.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 5)
-		for i := range xs {
-			xs[i] = rng.Float64()*10 + 0.1
-		}
-		h, g, a := HarmonicMean(xs), GeoMean(xs), Mean(xs)
-		return h <= g+1e-9 && g <= a+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7}
 	if m, err := Min(xs); err != nil || m != -1 {
@@ -52,24 +24,11 @@ func TestMinMaxSum(t *testing.T) {
 	if m, err := Max(xs); err != nil || m != 7 {
 		t.Errorf("Max = %v, %v", m, err)
 	}
-	if s := Sum(xs); s != 9 {
-		t.Errorf("Sum = %v", s)
-	}
 	if _, err := Min(nil); err != ErrEmpty {
 		t.Errorf("Min(nil) err = %v", err)
 	}
 	if _, err := Max(nil); err != ErrEmpty {
 		t.Errorf("Max(nil) err = %v", err)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if got := Stddev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("Stddev constant = %v", got)
-	}
-	got := Stddev([]float64{1, 3})
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("Stddev{1,3} = %v", got)
 	}
 }
 
@@ -131,18 +90,5 @@ func TestIsMonotonicNonDecreasing(t *testing.T) {
 	}
 	if !IsMonotonicNonDecreasing([]float64{1, 0.95}, 0.1) {
 		t.Error("within-tolerance dip should pass")
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if got := ArgMax([]float64{1, 5, 3}); got != 1 {
-		t.Errorf("ArgMax = %d", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Errorf("ArgMax(nil) = %d", got)
-	}
-	// First maximum wins on ties.
-	if got := ArgMax([]float64{2, 2}); got != 0 {
-		t.Errorf("ArgMax tie = %d", got)
 	}
 }

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"ena/internal/workload"
 )
@@ -59,56 +57,6 @@ func TestFootprintAndCold(t *testing.T) {
 	if p.FootprintB != 3*64 {
 		t.Errorf("FootprintB = %v", p.FootprintB)
 	}
-	if got := p.ColdMissFraction(); got != 0.5 {
-		t.Errorf("ColdMissFraction = %v", got)
-	}
-}
-
-func TestHitFraction(t *testing.T) {
-	// A B A B with a 1-line cache: reuse distance 1 >= 1 line, so misses.
-	p := Analyze(mk(0, 1, 0, 1))
-	if got := p.HitFraction(64); got != 0 {
-		t.Errorf("1-line cache hit fraction = %v", got)
-	}
-	// With a 2-line cache both reuses hit.
-	if got := p.HitFraction(128); got != 0.5 {
-		t.Errorf("2-line cache hit fraction = %v", got)
-	}
-}
-
-func TestHitFractionMonotoneInCapacity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		lines := make([]uint64, 300)
-		for i := range lines {
-			lines[i] = uint64(rng.Intn(40))
-		}
-		p := Analyze(mk(lines...))
-		prev := -1.0
-		for capLines := 1; capLines <= 64; capLines *= 2 {
-			h := p.HitFraction(float64(capLines * 64))
-			if h < prev-1e-12 {
-				return false
-			}
-			prev = h
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMissCurveNonIncreasing(t *testing.T) {
-	tr := workload.CoMD().Trace(3, 8000)
-	p := Analyze(tr)
-	caps := []float64{1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26}
-	curve := p.MissCurve(caps)
-	for i := 1; i < len(curve); i++ {
-		if curve[i] > curve[i-1]+1e-12 {
-			t.Fatalf("miss curve increased: %v", curve)
-		}
-	}
 }
 
 func TestWriteFrac(t *testing.T) {
@@ -122,38 +70,7 @@ func TestWriteFrac(t *testing.T) {
 
 func TestEmptyTrace(t *testing.T) {
 	p := Analyze(nil)
-	if p.Accesses != 0 || p.HitFraction(1<<20) != 0 || p.ColdMissFraction() != 0 {
+	if p.Accesses != 0 {
 		t.Error("empty trace should yield zeros")
-	}
-	if p.MedianReuseDistance() != -1 {
-		t.Error("no reuses -> median distance -1")
-	}
-}
-
-func TestMedianReuseDistance(t *testing.T) {
-	p := Analyze(mk(0, 1, 0, 1))
-	if got := p.MedianReuseDistance(); got != 1 {
-		t.Errorf("median = %d", got)
-	}
-}
-
-func TestKernelLocalityOrdering(t *testing.T) {
-	// Trace-derived cache behaviour should respect the characterization
-	// ordering: XSBench (random over a huge table) must hit far less in a
-	// chiplet-sized cache than MaxFlops (tiny resident buffer).
-	const cacheBytes = 4 << 20
-	hit := func(name string) float64 {
-		k, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Analyze(k.Trace(11, 12000)).HitFraction(cacheBytes)
-	}
-	mf, xs := hit("MaxFlops"), hit("XSBench")
-	if mf <= xs {
-		t.Errorf("MaxFlops hit %.3f should exceed XSBench hit %.3f", mf, xs)
-	}
-	if xs > 0.2 {
-		t.Errorf("XSBench should thrash a 4 MiB cache, hit = %.3f", xs)
 	}
 }

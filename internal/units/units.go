@@ -52,17 +52,6 @@ const (
 // models (a standard 64-byte line).
 const CacheLineBytes = 64
 
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // Lerp linearly interpolates between a and b by t in [0,1].
 func Lerp(a, b, t float64) float64 {
 	return a + (b-a)*t
@@ -78,27 +67,4 @@ func Min3(a, b, c float64) float64 {
 		m = c
 	}
 	return m
-}
-
-// ApproxEqual reports whether a and b differ by less than tol in absolute
-// terms, or by less than tol relative to the larger magnitude.
-func ApproxEqual(a, b, tol float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if d <= tol {
-		return true
-	}
-	m := a
-	if m < 0 {
-		m = -m
-	}
-	if b > m {
-		m = b
-	}
-	if -b > m {
-		m = -b
-	}
-	return d <= tol*m
 }

@@ -1,7 +1,6 @@
 package units
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -24,34 +23,6 @@ func TestConstants(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	cases := []struct{ v, lo, hi, want float64 }{
-		{5, 0, 10, 5},
-		{-1, 0, 10, 0},
-		{11, 0, 10, 10},
-		{0, 0, 0, 0},
-	}
-	for _, c := range cases {
-		if got := Clamp(c.v, c.lo, c.hi); got != c.want {
-			t.Errorf("Clamp(%v,%v,%v) = %v, want %v", c.v, c.lo, c.hi, got, c.want)
-		}
-	}
-}
-
-func TestClampProperty(t *testing.T) {
-	f := func(v, a, b float64) bool {
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		got := Clamp(v, lo, hi)
-		return got >= lo && got <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLerp(t *testing.T) {
 	if got := Lerp(2, 4, 0.5); got != 3 {
 		t.Errorf("Lerp midpoint = %v", got)
@@ -71,23 +42,5 @@ func TestMin3(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(1.0, 1.0+1e-12, 1e-9) {
-		t.Error("tiny absolute difference should be equal")
-	}
-	if !ApproxEqual(1e12, 1.0005e12, 1e-3) {
-		t.Error("relative tolerance should apply to large values")
-	}
-	if ApproxEqual(1, 2, 1e-6) {
-		t.Error("1 and 2 are not approximately equal")
-	}
-	if !ApproxEqual(-5, -5, 0) {
-		t.Error("identical values must compare equal")
-	}
-	if !math.IsNaN(math.NaN()) {
-		t.Fatal("sanity")
 	}
 }

@@ -102,9 +102,8 @@ type Kernel struct {
 	SerialFrac     float64
 	CUScalingGamma float64
 
-	// Compressibility is the default DRAM-traffic compression ratio used
-	// when no trace is analyzed (internal/compress measures the real
-	// ratio on generated traces; tests keep the two consistent).
+	// Compressibility is the pinned DRAM-traffic compression ratio that
+	// the compression power optimization (internal/powopt) applies.
 	Compressibility float64
 
 	Trace TraceGen
